@@ -105,7 +105,7 @@ func stepFeatures(t testing.TB) *cluster.Matrix {
 
 func TestAblationPCAPreservesClusteringQuality(t *testing.T) {
 	m := stepFeatures(t)
-	reduced := cluster.PCA(m, 20)
+	reduced := cluster.PCAP(m, 20, 0)
 	full, err := cluster.KMeans(m, 5, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func maxSize(sizes []int) int {
 
 func BenchmarkAblationKMeansWithPCA(b *testing.B) {
 	m := stepFeatures(b)
-	reduced := cluster.PCA(m, 20)
+	reduced := cluster.PCAP(m, 20, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cluster.KMeans(reduced, 5, 1, 0); err != nil {

@@ -299,7 +299,7 @@ func TestPCAReducesAndPreservesStructure(t *testing.T) {
 			m.Set(i, j, rng.Normal(0, 0.5))
 		}
 	}
-	red := PCA(m, 2)
+	red := PCAP(m, 2, 0)
 	if red.Cols != 2 {
 		t.Fatalf("PCA cols = %d", red.Cols)
 	}
@@ -323,7 +323,7 @@ func TestPCAReducesAndPreservesStructure(t *testing.T) {
 
 func TestPCANoOpWhenKLarge(t *testing.T) {
 	m, _ := blobs(10, 1)
-	if out := PCA(m, 5); out != m {
+	if out := PCAP(m, 5, 0); out != m {
 		t.Fatal("PCA should return input when k >= cols")
 	}
 }
@@ -376,6 +376,17 @@ func BenchmarkKMeans600x40(b *testing.B) {
 		if _, err := KMeans(m, 5, 1, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPCAAnalyzerShape measures PCA at the shape the analyzer
+// hands it: 121 steps × 108 feature columns, k = MaxFeatureOps.
+func BenchmarkPCAAnalyzerShape(b *testing.B) {
+	m := analyzerShapeMatrix(121, 108, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PCAP(m, MaxFeatureOps, 1)
 	}
 }
 

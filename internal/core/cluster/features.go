@@ -1,6 +1,7 @@
 // Package cluster implements the clustering machinery behind
 // TPUPoint-Analyzer: step feature-vector construction, PCA dimensionality
-// reduction, k-means with the elbow method, and DBSCAN with a
+// reduction (an exact symmetric eigensolve of the covariance, cut at its
+// numerical rank), k-means with the elbow method, and DBSCAN with a
 // minimum-samples sweep — the SimPoint-style toolkit of Section IV.
 //
 // All algorithms operate on a dense feature matrix whose rows are training

@@ -104,7 +104,7 @@ func TestFeaturesSingleStep(t *testing.T) {
 			t.Fatalf("single-step standardized col %d = %g", j, m.At(0, j))
 		}
 	}
-	red := PCA(m, 2)
+	red := PCAP(m, 2, 0)
 	r, err := KMeans(red, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)

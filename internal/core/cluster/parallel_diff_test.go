@@ -195,6 +195,19 @@ func TestPCAParallelismInvariant(t *testing.T) {
 			}
 		}
 	}
+	// The analyzer's shape: rank-deficient covariance (rank ≤ 60), k = 100.
+	m := analyzerShapeMatrix(61, 110, 400)
+	var ref *Matrix
+	for _, w := range workerGrid() {
+		out := PCAP(m, MaxFeatureOps, w)
+		if ref == nil {
+			ref = out
+			continue
+		}
+		if !matricesEqual(out, ref) {
+			t.Fatalf("61x110 k=%d workers=%d: PCA output differs from serial", MaxFeatureOps, w)
+		}
+	}
 }
 
 func TestStandardizeParallelismInvariant(t *testing.T) {

@@ -5,81 +5,63 @@ import (
 	"math"
 
 	"repro/internal/parallel"
-	"repro/internal/prng"
 )
 
-// PCA projects the (already standardized) matrix onto its top-k principal
-// components using power iteration with deflation — the dimensional
-// reduction step the paper applies before k-means.
+// PCAP projects the (already standardized) matrix onto its top-k
+// principal components — the dimensional reduction step the paper
+// applies before k-means. The components are the eigenvectors of the
+// covariance matrix from one exact dense symmetric eigensolve
+// (symEigen), taken in descending eigenvalue order and cut at the
+// numerical rank: at most k are kept, and none whose eigenvalue is
+// λ ≤ d·ε·λ_max. When the covariance's rank is below k the projection is
+// therefore an isometry of the centered rows. Each component's sign is
+// fixed so that its largest-magnitude entry is positive.
 //
 // If k >= m.Cols the input is returned unchanged (projection would be a
 // rotation with no reduction, and the clustering metrics are rotation-
 // invariant anyway).
-func PCA(m *Matrix, k int) *Matrix {
-	return PCAP(m, k, 0)
-}
-
-// PCAP is PCA with an explicit worker bound (workers <= 0 means
-// GOMAXPROCS, 1 means fully serial). The covariance accumulation and the
-// final projection fan out over fixed-size row chunks; covariance
-// partials merge in chunk order, so the output is bit-identical for
-// every worker count.
+//
+// workers bounds the pool (workers <= 0 means GOMAXPROCS, 1 means fully
+// serial). The covariance accumulation and the final projection fan out
+// over fixed-size row chunks; covariance partials merge in chunk order
+// and the eigensolve is serial, so the output is bit-identical for every
+// worker count.
 func PCAP(m *Matrix, k, workers int) *Matrix {
 	if m.Rows == 0 || k >= m.Cols || k <= 0 {
 		return m
 	}
 	pool := parallel.New(workers)
-	cov := covariance(m, pool)
 	d := m.Cols
-	components := make([][]float64, 0, k)
-	rng := prng.New(0x9ca)
-
-	work := make([]float64, d)
-	for c := 0; c < k; c++ {
-		// Power iteration for the dominant eigenvector of the (deflated)
-		// covariance.
-		v := make([]float64, d)
-		for i := range v {
-			v[i] = rng.Float64() - 0.5
-		}
-		normalize(v)
-		var lambda float64
-		for iter := 0; iter < 100; iter++ {
-			matVec(cov, v, work)
-			l := norm(work)
-			if l == 0 {
-				break
-			}
-			for i := range v {
-				v[i] = work[i] / l
-			}
-			if math.Abs(l-lambda) < 1e-9*math.Max(1, l) {
-				lambda = l
-				break
-			}
-			lambda = l
-		}
-		if lambda == 0 {
-			break
-		}
-		components = append(components, append([]float64(nil), v...))
-		// Deflate: cov -= λ v vᵀ.
-		for i := 0; i < d; i++ {
-			for j := 0; j < d; j++ {
-				cov[i*d+j] -= lambda * v[i] * v[j]
+	vecs := covariance(m, pool)
+	vals := symEigen(vecs, d)
+	cut := float64(d) * 0x1p-52 * vals[d-1] // d·ε·λ_max, ε = 2⁻⁵²
+	var components [][]float64
+	for c := d - 1; c >= 0 && len(components) < k && vals[c] > cut; c-- {
+		comp := vecs[c*d : (c+1)*d]
+		big := 0
+		for j := range comp {
+			if math.Abs(comp[j]) > math.Abs(comp[big]) {
+				big = j
 			}
 		}
+		if comp[big] < 0 {
+			for j := range comp {
+				comp[j] = -comp[j]
+			}
+		}
+		components = append(components, comp)
 	}
 	out := NewMatrix(m.Rows, len(components))
 	_ = pool.Run(context.Background(), m.Rows, parChunk, func(ci, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			row := m.Row(i)
+			row, dst := m.Row(i), out.Row(i)
 			for c, comp := range components {
+				comp = comp[:len(row)] // drops comp[j]'s bounds check
 				var dot float64
 				for j := range row {
 					dot += row[j] * comp[j]
 				}
-				out.Set(i, c, dot)
+				dst[c] = dot
 			}
 		}
 		return nil
@@ -123,36 +105,6 @@ func covariance(m *Matrix, pool *parallel.Pool) []float64 {
 		}
 	}
 	return cov
-}
-
-func matVec(a []float64, x, out []float64) {
-	d := len(x)
-	for i := 0; i < d; i++ {
-		var s float64
-		row := a[i*d : (i+1)*d]
-		for j := 0; j < d; j++ {
-			s += row[j] * x[j]
-		}
-		out[i] = s
-	}
-}
-
-func norm(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-func normalize(v []float64) {
-	n := norm(v)
-	if n == 0 {
-		return
-	}
-	for i := range v {
-		v[i] /= n
-	}
 }
 
 func maxInt(a, b int) int {

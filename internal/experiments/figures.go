@@ -69,7 +69,7 @@ func Fig4(lab *Lab) ([]Series, error) {
 		s := Series{Workload: name}
 		m, _ := cluster.Features(run.Steps)
 		cluster.Standardize(m)
-		m = cluster.PCA(m, cluster.MaxFeatureOps)
+		m = cluster.PCAP(m, cluster.MaxFeatureOps, 0)
 		ssd, err := cluster.SSDSweep(m, 15, 1, AnalyzerBudget)
 		if err != nil {
 			s.Err = err.Error()
@@ -96,7 +96,7 @@ func Fig5(lab *Lab) ([]Series, error) {
 		s := Series{Workload: name}
 		m, _ := cluster.Features(run.Steps)
 		cluster.Standardize(m)
-		m = cluster.PCA(m, cluster.MaxFeatureOps)
+		m = cluster.PCAP(m, cluster.MaxFeatureOps, 0)
 		grid, ratios, err := cluster.NoiseSweep(m, 180, 25, AnalyzerBudget)
 		if err != nil {
 			s.Err = err.Error()
@@ -190,7 +190,7 @@ func Fig8(lab *Lab) ([]CoverageRow, error) {
 		}
 		m, _ := cluster.Features(run.Steps)
 		cluster.Standardize(m)
-		m = cluster.PCA(m, cluster.MaxFeatureOps)
+		m = cluster.PCAP(m, cluster.MaxFeatureOps, 0)
 		res, err := cluster.DBSCAN(m, 30, 0, AnalyzerBudget)
 		if err != nil {
 			out = append(out, CoverageRow{Workload: name, Err: err.Error()})
@@ -212,7 +212,7 @@ func Fig9(lab *Lab) ([]CoverageRow, error) {
 		}
 		m, _ := cluster.Features(run.Steps)
 		cluster.Standardize(m)
-		m = cluster.PCA(m, cluster.MaxFeatureOps)
+		m = cluster.PCAP(m, cluster.MaxFeatureOps, 0)
 		res, err := cluster.KMeans(m, 5, 1, AnalyzerBudget)
 		if err != nil {
 			out = append(out, CoverageRow{Workload: name, Err: err.Error()})
