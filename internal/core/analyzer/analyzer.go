@@ -71,9 +71,12 @@ type Options struct {
 	// budgets surface cluster.ErrMemoryBudget (0 = unlimited).
 	MemoryBudget int64
 	// Parallelism bounds the clustering worker pool: 0 uses GOMAXPROCS,
-	// 1 forces the serial path. Results are bit-identical for every
-	// setting — the parallel reductions merge in a fixed chunk order
-	// (see internal/parallel).
+	// 1 forces the serial path. It is spent on row chunks inside each
+	// kernel and on the members of each selection sweep: one task per k
+	// of the k-means sweep and per min-samples value of the DBSCAN sweep,
+	// which shares one ε-neighbour graph. Results are bit-identical for
+	// every setting — reductions merge in a fixed chunk order and every
+	// sweep member writes its own slot (see internal/parallel).
 	Parallelism int
 	// Obs, when set, records per-stage wall time (feature extraction,
 	// PCA, the clustering sweeps, OLS) as latency histograms.
@@ -253,25 +256,16 @@ func KMeansPhases(steps []*trace.StepStat, opts Options) ([]*Phase, []float64, i
 	}
 	m := featureMatrix(steps, opts)
 	defer opts.Obs.Histogram("analyzer.stage.kmeans_us").ObserveSince(time.Now())
-	ssd, err := cluster.SSDSweepP(m, opts.KMax, opts.Seed, opts.MemoryBudget, opts.Parallelism)
+	runs, err := cluster.KMeansSweep(m, opts.KMax, opts.Seed, opts.MemoryBudget, opts.Parallelism)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("analyzer: k-means sweep: %w", err)
 	}
-	var k int
+	ssd := cluster.SSDs(runs)
+	k := cluster.Elbow(ssd)
 	if opts.KSelection == SelectBIC {
-		bic, err := cluster.BICSweepP(m, opts.KMax, opts.Seed, opts.MemoryBudget, opts.Parallelism)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("analyzer: BIC sweep: %w", err)
-		}
-		k = cluster.BestBIC(bic)
-	} else {
-		k = cluster.Elbow(ssd)
+		k = cluster.BestBIC(cluster.BICs(m, runs))
 	}
-	res, err := cluster.KMeansP(m, k, opts.Seed+uint64(k), opts.MemoryBudget, opts.Parallelism)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return phasesFromLabels(steps, res.Assignment), ssd, k, nil
+	return phasesFromLabels(steps, runs[k-1].Assignment), ssd, k, nil
 }
 
 // DBSCANPhases clusters the steps with DBSCAN, choosing min-samples by
@@ -286,19 +280,15 @@ func DBSCANPhases(steps []*trace.StepStat, opts Options) ([]*Phase, []int, []flo
 	}
 	m := featureMatrix(steps, opts)
 	defer opts.Obs.Histogram("analyzer.stage.dbscan_us").ObserveSince(time.Now())
-	grid, ratios, err := cluster.NoiseSweepP(m, opts.MinPtsMax, opts.MinPtsStep, opts.MemoryBudget, opts.Parallelism)
+	runs, err := cluster.DBSCANSweep(m, opts.MinPtsMax, opts.MinPtsStep, opts.MemoryBudget, opts.Parallelism)
 	if err != nil {
 		return nil, nil, nil, 0, fmt.Errorf("analyzer: dbscan sweep: %w", err)
 	}
+	grid, ratios := cluster.NoiseSeries(runs)
 	// The noise curve rises with min-samples; the elbow of the *rising*
 	// curve balances "minimize noise" against "maximize min samples".
-	idx := cluster.Elbow(ratios)
-	minPts := grid[idx-1]
-	res, err := cluster.DBSCANP(m, minPts, 0, opts.MemoryBudget, opts.Parallelism)
-	if err != nil {
-		return nil, nil, nil, 0, err
-	}
-	return phasesFromLabels(steps, res.Labels), grid, ratios, minPts, nil
+	chosen := runs[cluster.Elbow(ratios)-1]
+	return phasesFromLabels(steps, chosen.Labels), grid, ratios, chosen.MinPts, nil
 }
 
 // SortByTotal orders phases by descending total time.

@@ -2,6 +2,7 @@ package analyzer
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -335,6 +336,35 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsEmptySweeps: a sweep option that leaves no member
+// to choose from is an error on the algorithm that sweeps it (it used to
+// panic) and is ignored by the other.
+func TestAnalyzeRejectsEmptySweeps(t *testing.T) {
+	var steps []*trace.StepStat
+	for i := int64(0); i < 12; i++ {
+		steps = append(steps, step(i, simclock.Time(i*100), "a", fmt.Sprintf("op%d", i%3)))
+	}
+	cases := []struct {
+		opts    Options
+		algo    Algorithm
+		wantErr bool
+	}{
+		{Options{MinPtsMax: 1}, DBSCANAlgo, true},
+		{Options{MinPtsMax: 3}, DBSCANAlgo, true},
+		{Options{MinPtsMax: 4}, DBSCANAlgo, true},
+		{Options{MinPtsMax: 3}, KMeansAlgo, false},
+		{Options{KMax: -1}, KMeansAlgo, true},
+		{Options{KMax: -1}, DBSCANAlgo, false},
+	}
+	for _, c := range cases {
+		_, err := AnalyzeSteps("x", steps, c.algo, c.opts)
+		if (err != nil) != c.wantErr {
+			t.Errorf("%s with KMax=%d MinPtsMax=%d: err = %v, want error %v",
+				c.algo, c.opts.KMax, c.opts.MinPtsMax, err, c.wantErr)
+		}
+	}
+}
+
 func TestAnalyzeFromRecords(t *testing.T) {
 	r, _ := runWorkload(t, "dcgan-mnist", 150)
 	// Split events into multiple profile windows like the profiler does.
@@ -386,6 +416,29 @@ func BenchmarkKMeansAnalyze(b *testing.B) {
 		if _, err := AnalyzeSteps("x", steps, KMeansAlgo, Options{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAnalyzePaperShape runs the clustering analyses at the shape
+// the paper's offline Analyzer sees: k-means and DBSCAN, each with its
+// full selection sweep, over a 121-step dcgan-mnist and a 61-step
+// bert-mrpc run, serially and at 2 workers.
+func BenchmarkAnalyzePaperShape(b *testing.B) {
+	_, mnist := runWorkload(b, "dcgan-mnist", 120)
+	_, mrpc := runWorkload(b, "bert-mrpc", 60)
+	for _, par := range []int{1, 2} {
+		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, steps := range [][]*trace.StepStat{mnist, mrpc} {
+					for _, algo := range []Algorithm{KMeansAlgo, DBSCANAlgo} {
+						if _, err := AnalyzeSteps("x", steps, algo, Options{Seed: 1, Parallelism: par}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -40,23 +40,13 @@ func BIC(m *Matrix, r *KMeansResult) float64 {
 	return logL - params/2*math.Log(n)
 }
 
-// BICSweep runs k-means for k = 1..kMax and returns the BIC score series.
-func BICSweep(m *Matrix, kMax int, seed uint64, budget int64) ([]float64, error) {
-	return BICSweepP(m, kMax, seed, budget, 0)
-}
-
-// BICSweepP is BICSweep with an explicit worker bound for each k-means
-// run.
-func BICSweepP(m *Matrix, kMax int, seed uint64, budget int64, workers int) ([]float64, error) {
-	out := make([]float64, 0, kMax)
-	for k := 1; k <= kMax; k++ {
-		r, err := KMeansP(m, k, seed+uint64(k), budget, workers)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, BIC(m, r))
+// BICs scores each run of a k-means sweep with BIC.
+func BICs(m *Matrix, runs []*KMeansResult) []float64 {
+	out := make([]float64, len(runs))
+	for i, r := range runs {
+		out[i] = BIC(m, r)
 	}
-	return out, nil
+	return out
 }
 
 // BestBIC returns the 1-based k with the highest BIC score.

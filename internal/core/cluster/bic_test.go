@@ -7,10 +7,11 @@ import (
 
 func TestBICPrefersTrueK(t *testing.T) {
 	m, _ := blobs(600, 21)
-	scores, err := BICSweep(m, 8, 3, 0)
+	runs, err := KMeansSweep(m, 8, 3, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scores := BICs(m, runs)
 	if len(scores) != 8 {
 		t.Fatalf("scores = %d", len(scores))
 	}
@@ -26,14 +27,11 @@ func TestBICPrefersTrueK(t *testing.T) {
 
 func TestBICAgreesWithElbowOnBlobs(t *testing.T) {
 	m, _ := blobs(450, 23)
-	ssd, err := SSDSweep(m, 10, 5, 0)
+	runs, err := KMeansSweep(m, 10, 5, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bic, err := BICSweep(m, 10, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ssd, bic := SSDs(runs), BICs(m, runs)
 	ke := Elbow(ssd)
 	kb := BestBIC(bic)
 	if diff := ke - kb; diff > 2 || diff < -2 {
@@ -59,8 +57,10 @@ func BenchmarkBICSweep(b *testing.B) {
 	m, _ := blobs(400, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BICSweep(m, 10, 1, 0); err != nil {
+		runs, err := KMeansSweep(m, 10, 1, 0, 0)
+		if err != nil {
 			b.Fatal(err)
 		}
+		BICs(m, runs)
 	}
 }

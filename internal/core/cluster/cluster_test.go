@@ -54,10 +54,11 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 
 func TestKMeansSSDDecreasesWithK(t *testing.T) {
 	m, _ := blobs(300, 2)
-	ssd, err := SSDSweep(m, 8, 1, 0)
+	runs, err := KMeansSweep(m, 8, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ssd := SSDs(runs)
 	// Not strictly monotone (local optima), but k=1 must dominate k=3
 	// and the overall trend must fall.
 	if ssd[2] >= ssd[0] {
@@ -70,10 +71,11 @@ func TestKMeansSSDDecreasesWithK(t *testing.T) {
 
 func TestKMeansElbowAtTrueK(t *testing.T) {
 	m, _ := blobs(600, 3)
-	ssd, err := SSDSweep(m, 10, 1, 0)
+	runs, err := KMeansSweep(m, 10, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ssd := SSDs(runs)
 	k := Elbow(ssd)
 	if k < 2 || k > 4 {
 		t.Fatalf("elbow at k=%d, want ~3 (ssd=%v)", k, ssd)
@@ -152,10 +154,11 @@ func TestDBSCANFindsBlobs(t *testing.T) {
 
 func TestDBSCANNoiseGrowsWithMinPts(t *testing.T) {
 	m, _ := blobs(240, 5)
-	pts, ratios, err := NoiseSweep(m, 180, 25, 0)
+	runs, err := DBSCANSweep(m, 180, 25, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pts, ratios := NoiseSeries(runs)
 	if len(pts) != 8 {
 		t.Fatalf("sweep points = %d", len(pts))
 	}

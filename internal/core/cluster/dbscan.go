@@ -55,6 +55,25 @@ func DBSCANP(m *Matrix, minPts int, eps float64, budget int64, workers int) (*DB
 	if minPts < 1 {
 		return nil, fmt.Errorf("cluster: minPts must be >= 1, got %d", minPts)
 	}
+	g, err := newEpsGraph(m, eps, budget, parallel.New(workers))
+	if err != nil {
+		return nil, err
+	}
+	return g.label(minPts), nil
+}
+
+// epsGraph is the ε-neighbour graph DBSCAN labels: for every point, the
+// other points within eps of it, ascending. It does not depend on
+// min-samples, so one graph serves a whole min-samples sweep.
+type epsGraph struct {
+	eps       float64
+	neighbors [][]int32
+}
+
+// newEpsGraph builds the graph through the grid index. eps <= 0 selects
+// it with autoEps. budget bounds the always-allocated structures and the
+// neighbor lists as they materialize (0 disables the check).
+func newEpsGraph(m *Matrix, eps float64, budget int64, pool *parallel.Pool) (*epsGraph, error) {
 	n := m.Rows
 	if n == 0 {
 		return nil, fmt.Errorf("cluster: empty matrix")
@@ -63,7 +82,6 @@ func DBSCANP(m *Matrix, minPts int, eps float64, budget int64, workers int) (*DB
 	if err := validateBudget(need, budget, "dbscan"); err != nil {
 		return nil, err
 	}
-	pool := parallel.New(workers)
 	if eps <= 0 {
 		eps = autoEps(m, pool)
 	}
@@ -92,8 +110,13 @@ func DBSCANP(m *Matrix, minPts int, eps float64, budget int64, workers int) (*DB
 	if err != nil {
 		return nil, err
 	}
+	return &epsGraph{eps: eps, neighbors: neighbors}, nil
+}
 
-	labels := expand(neighbors, minPts)
+// label clusters the graph at minPts. It only reads the graph, so
+// several labelings may run on one graph at once.
+func (g *epsGraph) label(minPts int) *DBSCANResult {
+	labels := expand(g.neighbors, minPts)
 	noise := 0
 	for _, l := range labels {
 		if l == Noise {
@@ -107,9 +130,9 @@ func DBSCANP(m *Matrix, minPts int, eps float64, budget int64, workers int) (*DB
 		}
 	}
 	return &DBSCANResult{
-		MinPts: minPts, Eps: eps, Labels: labels,
+		MinPts: minPts, Eps: g.eps, Labels: labels,
 		Clusters: clusters, NoiseCount: noise,
-	}, nil
+	}
 }
 
 // expand runs the sequential cluster-growing pass over precomputed
@@ -182,23 +205,8 @@ func DBSCANBrute(m *Matrix, minPts int, eps float64, budget int64) (*DBSCANResul
 			}
 		}
 	}
-	labels := expand(neighbors, minPts)
-	noise := 0
-	for _, l := range labels {
-		if l == Noise {
-			noise++
-		}
-	}
-	clusters := 0
-	for _, l := range labels {
-		if l >= clusters {
-			clusters = l + 1
-		}
-	}
-	return &DBSCANResult{
-		MinPts: minPts, Eps: eps, Labels: labels,
-		Clusters: clusters, NoiseCount: noise,
-	}, nil
+	g := &epsGraph{eps: eps, neighbors: neighbors}
+	return g.label(minPts), nil
 }
 
 // autoEpsMaxSample caps the number of rows whose exact 4-NN distance the
@@ -264,29 +272,43 @@ func autoEps(m *Matrix, pool *parallel.Pool) float64 {
 	return math.Sqrt(v)
 }
 
-// NoiseSweep runs DBSCAN across the paper's min-samples grid (5 to maxPts
-// in steps of `step`) and returns the noise ratios (Figure 5's series).
-func NoiseSweep(m *Matrix, maxPts, step int, budget int64) (minPts []int, ratios []float64, err error) {
-	return NoiseSweepP(m, maxPts, step, budget, 0)
+// sweepMinPts is the first min-samples value of the paper's DBSCAN sweep.
+const sweepMinPts = 5
+
+// DBSCANSweep clusters the matrix across the paper's min-samples grid
+// (5 to maxPts in steps of step) and returns one result per grid value,
+// in grid order (Figure 5's series is their noise ratios). ε is chosen
+// once by autoEps and the ε-neighbour graph is built once; only the
+// labeling pass runs per value, one task per value on a pool of workers
+// goroutines, each writing its own slot. Every entry is bit-identical to
+// DBSCANP(m, minPts, 0, budget, w) for any w, and the budget is checked
+// exactly as that call checks it.
+func DBSCANSweep(m *Matrix, maxPts, step int, budget int64, workers int) ([]*DBSCANResult, error) {
+	if step < 1 {
+		return nil, fmt.Errorf("cluster: sweep step must be >= 1")
+	}
+	if maxPts < sweepMinPts {
+		return nil, fmt.Errorf("cluster: min-samples sweep %d..%d is empty", sweepMinPts, maxPts)
+	}
+	pool := parallel.New(workers)
+	g, err := newEpsGraph(m, 0, budget, pool)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*DBSCANResult, (maxPts-sweepMinPts)/step+1)
+	_ = pool.Run(context.Background(), len(out), 1, func(i, _, _ int) error {
+		out[i] = g.label(sweepMinPts + i*step)
+		return nil
+	})
+	return out, nil
 }
 
-// NoiseSweepP is NoiseSweep with an explicit worker bound for each
-// DBSCAN run.
-func NoiseSweepP(m *Matrix, maxPts, step int, budget int64, workers int) (minPts []int, ratios []float64, err error) {
-	if step < 1 {
-		return nil, nil, fmt.Errorf("cluster: sweep step must be >= 1")
+// NoiseSeries returns a DBSCAN sweep's min-samples grid and noise ratios.
+func NoiseSeries(runs []*DBSCANResult) (minPts []int, ratios []float64) {
+	minPts = make([]int, len(runs))
+	ratios = make([]float64, len(runs))
+	for i, r := range runs {
+		minPts[i], ratios[i] = r.MinPts, r.NoiseRatio()
 	}
-	eps := 0.0
-	for p := 5; p <= maxPts; p += step {
-		r, err := DBSCANP(m, p, eps, budget, workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		if eps == 0 {
-			eps = r.Eps // reuse the auto choice across the sweep
-		}
-		minPts = append(minPts, p)
-		ratios = append(ratios, r.NoiseRatio())
-	}
-	return minPts, ratios, nil
+	return minPts, ratios
 }

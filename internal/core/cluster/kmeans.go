@@ -198,24 +198,42 @@ func seedPlusPlus(m *Matrix, k int, rng *prng.Source, pool *parallel.Pool) *Matr
 	return centroids
 }
 
-// SSDSweep runs k-means for k = 1..kMax and returns the SSD series the
-// elbow method (and the paper's Figure 4) consumes.
-func SSDSweep(m *Matrix, kMax int, seed uint64, budget int64) ([]float64, error) {
-	return SSDSweepP(m, kMax, seed, budget, 0)
-}
-
-// SSDSweepP is SSDSweep with an explicit worker bound for each k-means
-// run.
-func SSDSweepP(m *Matrix, kMax int, seed uint64, budget int64, workers int) ([]float64, error) {
-	out := make([]float64, 0, kMax)
-	for k := 1; k <= kMax; k++ {
-		r, err := KMeansP(m, k, seed+uint64(k), budget, workers)
+// KMeansSweep runs k-means for k = 1..kMax, each k seeded with seed+k,
+// and returns the results in k order (runs[k-1] is the k run; their SSDs
+// are the series the elbow method and the paper's Figure 4 consume). The
+// runs fan out one task per k on a pool of workers goroutines, largest k
+// first so the longest runs start earliest; each writes its own slot and
+// is itself KMeansP(m, k, seed+k, budget, workers), so every entry is
+// bit-identical to that call at any worker count. budget bounds each run
+// (up to workers of them are in flight at once). When several k fail,
+// the error of the lowest one is returned — the one a serial k loop
+// would have stopped at.
+func KMeansSweep(m *Matrix, kMax int, seed uint64, budget int64, workers int) ([]*KMeansResult, error) {
+	if kMax < 1 {
+		return nil, fmt.Errorf("cluster: kMax must be >= 1, got %d", kMax)
+	}
+	runs := make([]*KMeansResult, kMax)
+	errs := make([]error, kMax)
+	_ = parallel.New(workers).Run(context.Background(), kMax, 1, func(i, _, _ int) error {
+		k := kMax - i
+		runs[k-1], errs[k-1] = KMeansP(m, k, seed+uint64(k), budget, workers)
+		return nil
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, r.SSD)
 	}
-	return out, nil
+	return runs, nil
+}
+
+// SSDs returns a k-means sweep's SSD series.
+func SSDs(runs []*KMeansResult) []float64 {
+	out := make([]float64, len(runs))
+	for i, r := range runs {
+		out[i] = r.SSD
+	}
+	return out
 }
 
 // Elbow returns the 1-based index of the elbow in a decreasing series: the

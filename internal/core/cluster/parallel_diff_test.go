@@ -7,9 +7,11 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/prng"
 	"repro/internal/simclock"
 	"repro/internal/trace"
@@ -259,14 +261,16 @@ func TestSweepsParallelismInvariant(t *testing.T) {
 	var refSSD []float64
 	var refRatios []float64
 	for _, w := range workerGrid() {
-		ssd, err := SSDSweepP(m, 8, 1, 0, w)
+		kruns, err := KMeansSweep(m, 8, 1, 0, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ratios, err := NoiseSweepP(m, 80, 25, 0, w)
+		ssd := SSDs(kruns)
+		druns, err := DBSCANSweep(m, 80, 25, 0, w)
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, ratios := NoiseSeries(druns)
 		if refSSD == nil {
 			refSSD, refRatios = ssd, ratios
 			continue
@@ -280,6 +284,94 @@ func TestSweepsParallelismInvariant(t *testing.T) {
 			if ratios[i] != refRatios[i] {
 				t.Fatalf("workers=%d: noise ratio[%d] = %v, serial %v", w, i, ratios[i], refRatios[i])
 			}
+		}
+	}
+}
+
+// TestKMeansSweepMatchesSerialRuns: every sweep member equals the serial
+// single-k run with the sweep's per-k seed, at any worker count.
+func TestKMeansSweepMatchesSerialRuns(t *testing.T) {
+	m := gaussMatrix(600, 8, 81)
+	Standardize(m)
+	const kMax, seed = 8, 11
+	for _, w := range workerGrid() {
+		runs, err := KMeansSweep(m, kMax, seed, 0, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) != kMax {
+			t.Fatalf("workers=%d: %d runs, want %d", w, len(runs), kMax)
+		}
+		for k := 1; k <= kMax; k++ {
+			want, err := KMeansP(m, k, seed+uint64(k), 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(runs[k-1], want) {
+				t.Fatalf("workers=%d: sweep run k=%d differs from serial KMeansP", w, k)
+			}
+		}
+	}
+}
+
+// TestDBSCANSweepMatchesSerialRuns: every sweep member, labeled on the
+// shared ε-graph, equals a serial DBSCANP that picks ε itself.
+func TestDBSCANSweepMatchesSerialRuns(t *testing.T) {
+	m := gaussMatrix(600, 8, 82)
+	Standardize(m)
+	for _, w := range workerGrid() {
+		runs, err := DBSCANSweep(m, 180, 25, 0, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) != 8 {
+			t.Fatalf("workers=%d: %d runs, want 8", w, len(runs))
+		}
+		for i, r := range runs {
+			p := 5 + 25*i
+			want, err := DBSCANP(m, p, 0, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(r, want) {
+				t.Fatalf("workers=%d: sweep run minPts=%d differs from serial DBSCANP", w, p)
+			}
+		}
+	}
+}
+
+// TestSweepsReturnSerialLoopError: when the budget admits only the small
+// k, the fanned-out sweep returns exactly the error a serial k = 1..kMax
+// loop stops at, not whichever failing k finished first; the DBSCAN
+// sweep fails exactly as a single DBSCANP does.
+func TestSweepsReturnSerialLoopError(t *testing.T) {
+	m := gaussMatrix(600, 8, 83)
+	const kMax, seed = 8, 5
+	// KMeansP's working-set estimate grows with k; this is its value at
+	// k = 4, so larger k fail.
+	nc := int64(parallel.NumChunks(m.Rows, parChunk))
+	budget := m.Bytes() + 4*int64(m.Cols)*8 + int64(m.Rows)*16 + nc*4*(int64(m.Cols)*8+8)
+	var want error
+	failedAt := 0
+	for k := 1; k <= kMax && want == nil; k++ {
+		if _, want = KMeansP(m, k, seed+uint64(k), budget, 1); want != nil {
+			failedAt = k
+		}
+	}
+	if want == nil || failedAt == 1 {
+		t.Fatalf("budget %d must fail only above k = 1 (failed at k = %d)", budget, failedAt)
+	}
+	dbBudget := int64(m.Rows) * dbscanBaseBytes
+	_, dbWant := DBSCANP(m, 5, 0, dbBudget, 1)
+	if dbWant == nil {
+		t.Fatalf("dbscan budget %d did not fail", dbBudget)
+	}
+	for _, w := range workerGrid() {
+		if _, err := KMeansSweep(m, kMax, seed, budget, w); err == nil || err.Error() != want.Error() {
+			t.Fatalf("workers=%d: k-means sweep error %v, serial loop %v", w, err, want)
+		}
+		if _, err := DBSCANSweep(m, 180, 25, dbBudget, w); err == nil || err.Error() != dbWant.Error() {
+			t.Fatalf("workers=%d: dbscan sweep error %v, serial %v", w, err, dbWant)
 		}
 	}
 }

@@ -70,11 +70,11 @@ func Fig4(lab *Lab) ([]Series, error) {
 		m, _ := cluster.Features(run.Steps)
 		cluster.Standardize(m)
 		m = cluster.PCAP(m, cluster.MaxFeatureOps, 0)
-		ssd, err := cluster.SSDSweep(m, 15, 1, AnalyzerBudget)
+		runs, err := cluster.KMeansSweep(m, 15, 1, AnalyzerBudget, 0)
 		if err != nil {
 			s.Err = err.Error()
 		} else {
-			for k, v := range ssd {
+			for k, v := range cluster.SSDs(runs) {
 				s.X = append(s.X, float64(k+1))
 				s.Y = append(s.Y, v)
 			}
@@ -97,10 +97,11 @@ func Fig5(lab *Lab) ([]Series, error) {
 		m, _ := cluster.Features(run.Steps)
 		cluster.Standardize(m)
 		m = cluster.PCAP(m, cluster.MaxFeatureOps, 0)
-		grid, ratios, err := cluster.NoiseSweep(m, 180, 25, AnalyzerBudget)
+		runs, err := cluster.DBSCANSweep(m, 180, 25, AnalyzerBudget, 0)
 		if err != nil {
 			s.Err = err.Error()
 		} else {
+			grid, ratios := cluster.NoiseSeries(runs)
 			for i := range grid {
 				s.X = append(s.X, float64(grid[i]))
 				s.Y = append(s.Y, ratios[i])
