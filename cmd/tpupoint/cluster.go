@@ -21,6 +21,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/repo"
+	"repro/internal/storage"
 )
 
 // clusterCmd dispatches `tpupoint cluster`. dir is the global -archive
@@ -72,6 +74,14 @@ func clusterCmd(args []string, dir string, codecPar, shards int, reg *obs.Regist
 		return err
 	}
 
+	var r *repo.Repo
+	if dir != "" {
+		var store *storage.DirStore
+		if r, store, err = openRepoDir(dir, codecPar, shards, true); err != nil {
+			return err
+		}
+		defer store.Close()
+	}
 	var reports []*cluster.Report
 	for _, p := range policies {
 		res, err := c.Schedule(p, reg)
@@ -83,11 +93,7 @@ func clusterCmd(args []string, dir string, codecPar, shards int, reg *obs.Regist
 			fmt.Print(res.Report.String())
 		}
 
-		if dir != "" {
-			r, bucket, err := openRepoDir(dir, codecPar, shards)
-			if err != nil {
-				return err
-			}
+		if r != nil {
 			label := *preset + "-" + p
 			saved, err := c.SaveArchives(r, res, label)
 			if err != nil {
@@ -95,9 +101,6 @@ func clusterCmd(args []string, dir string, codecPar, shards int, reg *obs.Regist
 			}
 			if saved != res.Report.Accepted {
 				return fmt.Errorf("cluster: accepted %d jobs but archived %d", res.Report.Accepted, saved)
-			}
-			if err := syncRepoDir(bucket, dir); err != nil {
-				return err
 			}
 			if !*jsonOut {
 				fmt.Printf("archived:  %d runs labeled %q -> %s\n\n", saved, label, dir)

@@ -11,8 +11,19 @@ import (
 )
 
 // captureStdout runs fn with os.Stdout redirected and returns what it
-// printed.
+// printed, failing the test if fn fails.
 func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	out, err := captureOutput(t, fn)
+	if err != nil {
+		t.Fatalf("command failed: %v\noutput:\n%s", err, out)
+	}
+	return out
+}
+
+// captureOutput runs fn with os.Stdout redirected and returns what it
+// printed and its error.
+func captureOutput(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -29,11 +40,7 @@ func captureStdout(t *testing.T, fn func() error) string {
 	ferr := fn()
 	w.Close()
 	os.Stdout = old
-	out := <-done
-	if ferr != nil {
-		t.Fatalf("command failed: %v\noutput:\n%s", ferr, out)
-	}
-	return out
+	return <-done, ferr
 }
 
 // The cluster verb end to end: simulate the smoke preset, archive the
@@ -51,10 +58,7 @@ func TestClusterVerbArchivesAndListFilters(t *testing.T) {
 	}
 
 	// The repository on disk carries tenant identity.
-	r, _, err := openRepoDir(dir, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openTestRepo(t, dir)
 	vision, err := r.List(repo.Filter{Tenant: "vision"})
 	if err != nil {
 		t.Fatal(err)

@@ -284,15 +284,13 @@ func main() {
 		}
 		printRunInfo(os.Stdout, info, "")
 	} else if *archiveDir != "" {
-		r, bucket, err := openRepoDir(*archiveDir, *codecPar, *shards)
+		r, store, err := openRepoDir(*archiveDir, *codecPar, *shards, true)
 		if err != nil {
 			fatal(err)
 		}
 		info, err := s.ArchiveRun(r, rid, *label, records, rep)
+		store.Close()
 		if err != nil {
-			fatal(err)
-		}
-		if err := syncRepoDir(bucket, *archiveDir); err != nil {
 			fatal(err)
 		}
 		printRunInfo(os.Stdout, info, *archiveDir)

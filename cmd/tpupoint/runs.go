@@ -1,9 +1,13 @@
 // Profile-repository subcommands and the fleet collection server.
 //
 // The repository lives in a directory on disk (-archive): the bucket
-// layout (runs/manifest.json + runs/<id>/archive) mirrored as files.
-// Each invocation imports the directory into an in-memory bucket,
-// operates on it through internal/repo, and syncs mutations back.
+// layout (runs/manifest.json + runs/<id>/archive) as plain files,
+// opened in place as a storage.DirStore. Every mutation lands on disk
+// when it commits, so a collector's ack means the run is durable and
+// a killed process leaves nothing to flush. Read verbs (list, show,
+// diff, fsck, watch) open without journal replay and write nothing,
+// so they are safe next to live collectors; mutating verbs replay the
+// journal first and need the directory's collectors stopped.
 package main
 
 import (
@@ -15,7 +19,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
+	"slices"
 	"syscall"
 	"time"
 
@@ -26,60 +30,53 @@ import (
 	"repro/internal/storage"
 )
 
-// openRepoDir loads a profile repository from a directory (which may
-// not exist yet — that's an empty repository) and replays its intent
-// journal, so a repository left behind by a crashed process is
-// reconciled before any verb runs. codecPar sets the archive codec's
+// openRepoDir opens the profile repository in dir as a DirStore; the
+// caller closes the returned store. codecPar sets the archive codec's
 // worker pool for repository reads (-codec-parallelism: 0 = GOMAXPROCS,
-// 1 = serial; decoded runs are bit-identical either way). shards is the
-// -shards request: 0 keeps the repository's existing manifest layout,
-// N > 1 migrates a legacy single-manifest repository to N shards on
-// open (an already-sharded repository keeps its recorded count).
-func openRepoDir(dir string, codecPar, shards int) (*repo.Repo, *storage.Bucket, error) {
-	svc := storage.NewService()
-	bucket, err := svc.CreateBucket("profile-repo")
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := os.Stat(dir); err == nil {
-		if _, err := bucket.ImportDir(dir); err != nil {
-			return nil, nil, fmt.Errorf("loading repository %s: %w", dir, err)
+// 1 = serial; decoded runs are bit-identical either way).
+//
+// A read-only open (write false) neither replays the intent journal
+// nor writes anything: a replay could roll back a live collector's
+// open intent. A missing directory is an error rather than an empty
+// repository, so a read never creates one. (OpenDir does add its
+// .dirstore/ lock directory to a tree that lacks one, such as a
+// repository copied in from elsewhere; no object changes.)
+//
+// A writing open creates dir if needed and replays the journal, so a
+// repository left behind by a crashed process is reconciled before the
+// verb runs. shards is the -shards request: 0 keeps the repository's
+// existing manifest layout, N > 1 migrates a legacy single-manifest
+// repository to N shards (an already-sharded repository keeps its
+// recorded count).
+func openRepoDir(dir string, codecPar, shards int, write bool) (*repo.Repo, *storage.DirStore, error) {
+	if !write {
+		if _, err := os.Stat(dir); err != nil {
+			return nil, nil, fmt.Errorf("opening repository: %w", err)
 		}
-	} else if !errors.Is(err, os.ErrNotExist) {
+	}
+	store, err := storage.OpenDir(dir)
+	if err != nil {
 		return nil, nil, err
 	}
-	r, rec, err := repo.OpenShards(bucket, shards)
-	if err != nil {
-		return nil, nil, fmt.Errorf("recovering repository %s: %w", dir, err)
+	r := repo.New(store)
+	if write {
+		var rec *repo.RecoveryReport
+		if r, rec, err = repo.OpenShards(store, shards); err != nil {
+			store.Close()
+			return nil, nil, fmt.Errorf("recovering repository %s: %w", dir, err)
+		}
+		printRecovery(rec)
 	}
+	r.SetCodecParallelism(codecPar)
+	return r, store, nil
+}
+
+// printRecovery reports a journal replay that found work to do.
+func printRecovery(rec *repo.RecoveryReport) {
 	if !rec.Clean() {
 		fmt.Printf("recovery: replayed %d interrupted mutations (%d completed, %d rolled back, %d orphans reclaimed)\n",
 			rec.OpenIntents, rec.Completed, rec.RolledBack, len(rec.OrphansReclaimed))
 	}
-	r.SetCodecParallelism(codecPar)
-	return r, bucket, nil
-}
-
-// repoPrefixes are the bucket subtrees that persist to disk: run data,
-// durable fleet session state, and fsck's quarantine area.
-var repoPrefixes = []string{"runs/", "sessions/", "quarantine/"}
-
-// syncRepoDir writes the repository objects back to dir. Each persisted
-// subtree is replaced wholesale so deletions (runs gc, session
-// retirement, quarantine release) propagate.
-func syncRepoDir(bucket *storage.Bucket, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, prefix := range repoPrefixes {
-		if err := os.RemoveAll(filepath.Join(dir, filepath.FromSlash(strings.TrimSuffix(prefix, "/")))); err != nil {
-			return err
-		}
-		if _, err := bucket.ExportDir(dir, prefix); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // runsCmd dispatches the `runs list|show|diff|gc|...` verbs.
@@ -87,15 +84,27 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 	if dir == "" {
 		return errors.New("runs: -archive <dir> is required")
 	}
-	r, bucket, err := openRepoDir(dir, codecPar, shards)
-	if err != nil {
-		return err
-	}
 	verb := "list"
 	if len(args) > 0 {
 		verb = args[0]
 		args = args[1:]
 	}
+	// A -shards migration rewrites the index, so it is a write too.
+	write := shards > 1
+	switch verb {
+	case "list", "show", "diff":
+	case "fsck":
+		write = write || slices.Contains(args, "-repair") || slices.Contains(args, "--repair")
+	case "gc", "delete", "compact", "salvage":
+		write = true
+	default:
+		return fmt.Errorf("unknown runs verb %q (want list, show, diff, gc, delete, fsck, salvage, compact)", verb)
+	}
+	r, store, err := openRepoDir(dir, codecPar, shards, write)
+	if err != nil {
+		return err
+	}
+	defer store.Close()
 	switch verb {
 	case "list":
 		fs := flag.NewFlagSet("runs list", flag.ContinueOnError)
@@ -181,7 +190,7 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 			fmt.Printf("removed %s\n", id)
 		}
 		fmt.Printf("gc: removed %d runs (keeping %d newest per workload)\n", len(victims), keep)
-		return syncRepoDir(bucket, dir)
+		return nil
 
 	case "delete":
 		if len(args) != 1 {
@@ -191,7 +200,7 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 			return err
 		}
 		fmt.Printf("removed %s\n", args[0])
-		return syncRepoDir(bucket, dir)
+		return nil
 
 	case "fsck":
 		repair := false
@@ -220,11 +229,6 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 			fmt.Printf("fsck: %d runs checked, %d issues, %d repaired\n",
 				rep.RunsChecked, len(rep.Issues), rep.Repaired)
 		}
-		if repair {
-			if err := syncRepoDir(bucket, dir); err != nil {
-				return err
-			}
-		}
 		if !rep.Clean() && rep.Repaired < len(rep.Issues) {
 			return fmt.Errorf("fsck: %d unrepaired issues", len(rep.Issues)-rep.Repaired)
 		}
@@ -252,10 +256,7 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 		}
 		fmt.Printf("compact: %d packs from %d runs (%d bytes)\n",
 			len(rep.Packs), runsPacked, bytesPacked)
-		if len(rep.Packs) == 0 {
-			return nil
-		}
-		return syncRepoDir(bucket, dir)
+		return nil
 
 	case "salvage":
 		if len(args) != 1 {
@@ -273,23 +274,20 @@ func runsCmd(args []string, dir string, keep int, csv bool, codecPar, shards int
 			args[0], srep.SegmentsKept, srep.SegmentsTotal, mode,
 			srep.RecordsKept, srep.BytesDropped)
 		printRunInfo(os.Stdout, info, dir)
-		return syncRepoDir(bucket, dir)
-
-	default:
-		return fmt.Errorf("unknown runs verb %q (want list, show, diff, gc, delete, fsck, salvage, compact)", verb)
 	}
+	return nil
 }
 
 // collectConfig bundles the collection server's flag surface: one
-// process = one replica (or the whole fleet when Replicas <= 1).
+// process = one replica of a Replicas-strong fleet (1 by default).
 type collectConfig struct {
 	Addr, Dir string
 
 	MaxSessions, MaxConns, CodecPar, Shards, CompactEvery int
 
-	// ReplicaID/Replicas/Peers configure replicated collection: this
-	// process owns the manifest shards s with s % Replicas == ReplicaID
-	// and answers misplaced sessions with a redirect to Peers[owner].
+	// ReplicaID/Replicas/Peers place this process in the fleet: it owns
+	// the manifest shards s with s % Replicas == ReplicaID and answers
+	// misplaced sessions with a redirect to Peers[owner].
 	ReplicaID, Replicas int
 	Peers               []string
 
@@ -304,11 +302,10 @@ type collectConfig struct {
 // Interrupted sessions are durable: their state is parked in the
 // repository and clients reattach with fleet.Resume after a restart.
 //
-// Standalone (-replicas 1, the default) the repository is imported
-// into memory and synced back at shutdown. Replicated (-replicas N)
-// the -archive directory is opened as a live shared DirStore — every
-// mutation lands on disk immediately, because peer replicas and a
-// restarted self read the same files — and saves flow through a
+// Every collector is one replica of a fleet sharing the -archive
+// directory as a DirStore — a standalone collector is a fleet of one.
+// Every mutation lands on disk when it commits, because peer replicas
+// and a restarted self read the same files, and saves flow through a
 // group-commit Ingestor that amortizes journal+manifest writes across
 // concurrent finalizes.
 func collectServe(cfg collectConfig) error {
@@ -319,59 +316,39 @@ func collectServe(cfg collectConfig) error {
 	health.SetFailing("repository", "opening")
 	health.SetFailing("collector", "starting")
 
-	var (
-		r       *repo.Repo
-		bucket  *storage.Bucket // standalone mode only (nil when replicated)
-		rc      *repo.ReplicaConfig
-		ingest  *repo.Ingestor
-		owned   []int
-		fleetID = "collector"
-	)
-	if cfg.Replicas > 1 {
-		rc = &repo.ReplicaConfig{ID: cfg.ReplicaID, Replicas: cfg.Replicas, Peers: cfg.Peers}
-		if err := rc.Validate(); err != nil {
-			return err
-		}
-		shards := cfg.Shards
-		if shards == 0 {
-			// Every replica needs shards to own; default to a few per
-			// replica so reconfiguration has room to rebalance.
-			shards = 4 * cfg.Replicas
-		}
-		if shards < cfg.Replicas {
-			return fmt.Errorf("-shards %d < -replicas %d leaves replicas owning nothing", shards, cfg.Replicas)
-		}
-		store, err := storage.OpenDir(cfg.Dir)
-		if err != nil {
-			return err
-		}
-		defer store.Close()
-		owned = rc.OwnedShards(shards)
-		var rec *repo.RecoveryReport
-		r, rec, err = repo.OpenShardsOwned(store, shards, owned)
-		if err != nil {
-			return fmt.Errorf("recovering repository %s: %w", cfg.Dir, err)
-		}
-		if !rec.Clean() {
-			fmt.Printf("recovery: replayed %d interrupted mutations (%d completed, %d rolled back, %d orphans reclaimed)\n",
-				rec.OpenIntents, rec.Completed, rec.RolledBack, len(rec.OrphansReclaimed))
-		}
-		r.SetCodecParallelism(cfg.CodecPar)
-		ingest = repo.NewIngestor(r, repo.IngestorOptions{Replica: rc, Obs: reg})
-		defer ingest.Close()
-		fleetID = fmt.Sprintf("replica-%d", rc.ID)
-		reg.SetLabel("replica", fmt.Sprint(rc.ID))
-		cfg.Fleet.Set(fleetID, obs.ReplicaUp)
-	} else {
-		var err error
-		r, bucket, err = openRepoDir(cfg.Dir, cfg.CodecPar, cfg.Shards)
-		if err != nil {
-			return err
-		}
+	rc := &repo.ReplicaConfig{ID: cfg.ReplicaID, Replicas: cfg.Replicas, Peers: cfg.Peers}
+	if err := rc.Validate(); err != nil {
+		return err
 	}
+	store, err := storage.OpenDir(cfg.Dir)
+	if err != nil {
+		return err
+	}
+	defer store.Close()
+	shards, err := collectorShards(store, cfg.Shards, cfg.Replicas)
+	if err != nil {
+		return err
+	}
+	owned := rc.OwnedShards(shards)
+	r, rec, err := repo.OpenShardsOwned(store, shards, owned)
+	if err != nil {
+		return fmt.Errorf("recovering repository %s: %w", cfg.Dir, err)
+	}
+	printRecovery(rec)
+	r.SetCodecParallelism(cfg.CodecPar)
 	r.SetObs(reg)
+	ingest := repo.NewIngestor(r, repo.IngestorOptions{Replica: rc, Obs: reg})
+	defer ingest.Close()
+	fleetID := fmt.Sprintf("replica-%d", rc.ID)
+	reg.SetLabel("replica", fmt.Sprint(rc.ID))
+	cfg.Fleet.Set(fleetID, obs.ReplicaUp)
+
+	maxSessions := cfg.MaxSessions
+	if maxSessions == 0 {
+		maxSessions = repo.DefaultMaxSessions
+	}
 	fleet := repo.NewFleet(r, repo.FleetOptions{
-		MaxSessions: cfg.MaxSessions, CompactEvery: cfg.CompactEvery,
+		MaxSessions: maxSessions, CompactEvery: cfg.CompactEvery,
 		Obs: reg, Replica: rc, Ingest: ingest,
 	})
 	parked, err := fleet.RecoverSessions()
@@ -392,23 +369,19 @@ func collectServe(cfg collectConfig) error {
 		return err
 	}
 	defer l.Close()
-	if rc != nil {
-		fmt.Printf("fleet collection server on %s (replica %d of %d, shards %v), repository %s\n",
-			l.Addr(), rc.ID, rc.Replicas, owned, cfg.Dir)
-	} else {
-		fmt.Printf("fleet collection server on %s (max %d sessions), repository %s\n",
-			l.Addr(), cfg.MaxSessions, cfg.Dir)
-	}
+	fmt.Printf("fleet collection server on %s (replica %d of %d, shards %v, max %d sessions), repository %s\n",
+		l.Addr(), rc.ID, rc.Replicas, owned, maxSessions, cfg.Dir)
 	go srv.Serve(l)
 	health.SetReady("collector")
 
 	// Probe peer replicas so /fleetz answers for the whole set.
 	stopProbe := make(chan struct{})
-	if rc != nil && len(rc.Peers) > 0 {
+	if len(rc.Peers) > 0 {
 		go probePeers(rc, cfg.Fleet, stopProbe)
 	}
 
-	// Serve until interrupted, then flush the repository to disk.
+	// Serve until interrupted. Nothing needs flushing: every acked
+	// record and run is already in the directory.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
@@ -419,16 +392,31 @@ func collectServe(cfg collectConfig) error {
 	if n := fleet.ActiveSessions(); n > 0 {
 		fmt.Printf("%d sessions still open; their accepted records are parked durably (clients resume by token)\n", n)
 	}
-	// Drain any in-flight background compaction before the final sync so
-	// the exported directory reflects a settled repository.
+	// Let an in-flight background compaction settle before exiting.
 	fleet.WaitBackground()
-	if bucket != nil {
-		if err := syncRepoDir(bucket, cfg.Dir); err != nil {
-			return err
-		}
-		fmt.Printf("repository synced to %s\n", cfg.Dir)
-	}
 	return nil
+}
+
+// collectorShards returns the manifest shard count a collector replica
+// opens store with. An existing repository keeps its layout (sharded,
+// or legacy single-manifest), so ownership and the journal replay it
+// scopes cover every shard that really exists. A fresh directory gets
+// requested (-shards), or a few shards per replica so reconfiguration
+// has room to rebalance.
+func collectorShards(store repo.Store, requested, replicas int) (int, error) {
+	shards := requested
+	if shards == 0 {
+		shards = 4 * replicas
+	}
+	if n, err := repo.New(store).Shards(); err != nil {
+		return 0, err
+	} else if n > 1 || store.Exists(repo.ManifestObject) || store.Exists(repo.JournalObject) {
+		shards = n
+	}
+	if shards < replicas {
+		return 0, fmt.Errorf("%d manifest shards < -replicas %d leaves replicas owning nothing", shards, replicas)
+	}
+	return shards, nil
 }
 
 // probePeers pings every peer replica on a short cadence and feeds the

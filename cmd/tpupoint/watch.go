@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/core/analyzer"
 	"repro/internal/repo"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -54,7 +53,12 @@ func watchCmd(args []string, archiveDir string, codecPar int) error {
 
 	switch {
 	case *sessionTk != "":
-		if err := watchSession(s, archiveDir, *sessionTk, *follow, *interval, *idle); err != nil {
+		_, store, err := openRepoDir(archiveDir, codecPar, 0, false)
+		if err != nil {
+			return err
+		}
+		defer store.Close()
+		if err := watchSession(s.Feed, store, *sessionTk, *follow, *interval, *idle); err != nil {
 			return err
 		}
 	case fs.NArg() == 1:
@@ -106,12 +110,14 @@ func watchPrinter(quiet bool) func(analyzer.StreamEvent) {
 }
 
 // watchArchive streams one archived run through the analyzer via the
-// O(1)-resident record iterator.
+// O(1)-resident record iterator. It reads the run's manifest shard and
+// blob, nothing else, and writes nothing.
 func watchArchive(s *analyzer.StreamAnalyzer, dir string, codecPar int, runID string) error {
-	r, _, err := openRepoDir(dir, codecPar, 0)
+	r, store, err := openRepoDir(dir, codecPar, 0, false)
 	if err != nil {
 		return err
 	}
+	defer store.Close()
 	_, a, err := r.Get(runID)
 	if err != nil {
 		return err
@@ -125,15 +131,16 @@ func watchArchive(s *analyzer.StreamAnalyzer, dir string, codecPar int, runID st
 	return it.Err()
 }
 
-// watchSession replays a fleet session's durable log, optionally
-// following it as the collector appends. Each poll re-imports the
-// repository directory — the log on disk is the shared truth between
-// the collector process and this one — and feeds only the new tail.
-func watchSession(s *analyzer.StreamAnalyzer, dir, token string, follow bool, interval, idle time.Duration) error {
+// watchSession replays a fleet session's durable log through feed,
+// optionally following it as the collector appends. Each poll rereads
+// only the session's log from the store — the log on disk is the
+// shared truth between the collector process and this one — and feeds
+// only the new tail.
+func watchSession(feed func(*trace.ProfileRecord) error, store repo.Store, token string, follow bool, interval, idle time.Duration) error {
 	fed := 0
 	quietSince := time.Now()
 	for {
-		recs, err := readSessionLogDir(dir, token)
+		recs, err := repo.SessionRecords(store, token)
 		if err != nil {
 			return err
 		}
@@ -143,7 +150,7 @@ func watchSession(s *analyzer.StreamAnalyzer, dir, token string, follow bool, in
 			if err != nil {
 				return fmt.Errorf("session %q log record %d: %w", token, fed, err)
 			}
-			if err := s.Feed(rec); err != nil {
+			if err := feed(rec); err != nil {
 				return err
 			}
 			fed++
@@ -160,20 +167,6 @@ func watchSession(s *analyzer.StreamAnalyzer, dir, token string, follow bool, in
 		}
 		time.Sleep(interval)
 	}
-}
-
-// readSessionLogDir loads the repository directory fresh and returns
-// the session's durably-accepted records.
-func readSessionLogDir(dir, token string) ([][]byte, error) {
-	svc := storage.NewService()
-	bucket, err := svc.CreateBucket("watch")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := bucket.ImportDir(dir); err != nil {
-		return nil, fmt.Errorf("loading repository %s: %w", dir, err)
-	}
-	return repo.SessionRecords(bucket, token)
 }
 
 func printStreamSummary(rep *analyzer.StreamReport) {

@@ -1,13 +1,16 @@
-// DirStore: a file-backed store so MULTIPLE collector processes can
-// share one repository — the substrate the replicated-collection smoke
-// test (and any real multi-process deployment without an object store)
-// runs on. The in-memory Bucket cannot cross a process boundary;
-// ExportDir/ImportDir snapshots are single-writer.
+// DirStore: a file-backed store so MULTIPLE processes can share one
+// repository. It is the only way the tpupoint CLI reaches a profile
+// repository directory: every collector (a standalone one is a
+// 1-replica fleet), every `runs` verb, `watch` and `cluster` open the
+// -archive directory in place, so a write is on disk when it returns
+// and read verbs can run next to live collectors. The in-memory Bucket
+// cannot cross a process boundary; its ExportDir/ImportDir snapshots
+// carry exported profile records, not repositories.
 //
-// Layout keeps raw object bytes at their slash-mapped paths — exactly
-// ExportDir's format, so `tpupoint runs list -dir` and every other
-// ImportDir consumer reads a DirStore tree unchanged. Bookkeeping goes
-// under one hidden subtree:
+// Layout keeps raw object bytes at their slash-mapped paths — the same
+// format ExportDir writes, so a tree exported or copied from a bucket
+// opens as a DirStore unchanged. Bookkeeping goes under one hidden
+// subtree:
 //
 //	<root>/<object path>              — raw object bytes
 //	<root>/.dirstore/lock             — cross-process mutex (flock)

@@ -31,8 +31,8 @@ if [ ! -f "$repodir/runs/manifest.json" ]; then
 fi
 
 echo "== migrating to 4 manifest shards (-shards 4)"
-# Any verb migrates on open; gc keeps everything (-keep 3) but syncs the
-# rewritten layout back to disk.
+# Any verb given -shards migrates on open, rewriting the layout in place;
+# gc keeps everything (-keep 3).
 "$bin" -archive "$repodir" -shards 4 -keep 3 runs gc >/dev/null
 if [ ! -f "$repodir/runs/.layout" ] || [ ! -f "$repodir/runs/manifest-0.json" ]; then
     echo "ingest_smoke.sh: migration left no sharded layout on disk" >&2
